@@ -210,8 +210,6 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
   const double flops = eng.flops_per_client_round();
   const bool enc = eng.wire_encoded();
   const size_t up_payload = dense_bytes(eng.dim()) + eng.stat_bytes();
-  const size_t down_extra =
-      enc ? wire::encoded_stats_bytes(eng.stat_dim()) : eng.stat_bytes();
   // Hierarchical topology: every dispatch traverses cloud -> edge ->
   // client and back. Dispatches are unsynchronized (each ships a diff for
   // a different model version), so unlike the synchronous path there is no
@@ -254,7 +252,7 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
     // a whole model version: fill_slots usually dispatches one client per
     // event, so a per-call cache would never hit.
     if (down_fn_version != st.version) {
-      down_fn = eng.down_bytes_fn(st.version, down_extra);
+      down_fn = eng.down_bytes_fn(st.version);
       down_fn_version = st.version;
     }
     for (size_t i = 0; i < picked.size(); ++i) {
@@ -271,14 +269,13 @@ RunResult AsyncSimEngine::run_loop(AsyncStrategy& strategy, AsyncRunState st,
       // the async engine can serialize the real payload up front and use
       // measured bytes for BOTH pricing and event timing.
       if (enc) {
-        wire::WireEncoder we(eng.dim());
-        we.add_dense(f.local.delta.data(), f.local.delta.size());
-        we.add_stats(f.local.stat_delta.data(), f.local.stat_delta.size());
-        f.wire = we.finish();
+        // The frame owns the payload (moved out of f.local and freed with
+        // `up`); the fold decodes it back.
+        Upload up;
+        up.update = SparseDelta::dense(std::move(f.local.delta));
+        up.stats = std::move(f.local.stat_delta);
+        f.wire = encode_upload(up, eng.dim());
         f.up_b = f.wire.size();
-        // The frame now owns the payload; the fold decodes it back.
-        f.local.delta = std::vector<float>();
-        f.local.stat_delta = std::vector<float>();
       } else {
         f.up_b = up_payload;
       }

@@ -10,6 +10,7 @@
 #include "compress/encoding.h"
 #include "net/bandwidth.h"
 #include "nn/optimizer.h"
+#include "scenario/scenario.h"
 #include "telemetry/events.h"
 #include "telemetry/telemetry.h"
 #include "tensor/ops.h"
@@ -235,8 +236,7 @@ double SimEngine::flops_per_client_round() const {
 Participation SimEngine::simulate_participation(
     int round, const CandidateSet& cand,
     const std::function<size_t(int)>& down_bytes_fn,
-    const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec,
-    bool defer_uplink) {
+    const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec) {
   telemetry::Span span("transfer_price");
   struct Timed {
     int id = 0;
@@ -327,9 +327,9 @@ Participation SimEngine::simulate_participation(
   // recorded participation, flushed in canonical order at the round
   // boundary. Faulted invitees record their drop here; included invitees
   // record a completed participation in include() below (the upload leg
-  // is back-filled by price_uplinks, and the strategies upgrade the fate
-  // of rejected Byzantine frames). Over-committed invitees that survive
-  // but lose the cutoff race pay their download without a record.
+  // is back-filled by price_uplinks, and uplink() upgrades the fate of
+  // rejected Byzantine frames). Over-committed invitees that survive but
+  // lose the cutoff race pay their download without a record.
   auto record_client = [&](const Timed& t, bool sticky, events::Fate fate) {
     telemetry::digest_add(telemetry::kDigestDownBytes, t.down_b);
     if (!events::on()) return;
@@ -429,10 +429,15 @@ Participation SimEngine::simulate_participation(
   for (const auto& t : sticky_t) sync_->mark_synced(t.id, round);
   for (const auto& t : other_t) sync_->mark_synced(t.id, round);
 
-  // Immediate pricing reproduces the classic single-call behaviour: the
-  // cutoff estimate IS the priced size, so up-bytes/up-time/wall-time come
-  // out exactly as before the deferred path existed.
-  if (!defer_uplink) price_uplinks(part, up_bytes_fn, rec);
+  // Analytic accounting prices the upload leg now: the cutoff estimate IS
+  // the priced size. Encoded frames are priced when the round ends.
+  uplink_ = RoundUplink{};
+  uplink_.round = round;
+  if (wire_encoded()) {
+    uplink_.part = part;
+  } else {
+    price_uplinks(part, up_bytes_fn, rec);
+  }
   return part;
 }
 
@@ -502,38 +507,72 @@ void SimEngine::price_uplinks(const Participation& part,
   }
 }
 
-void SimEngine::price_uplinks(const Participation& part,
-                              const std::map<int, size_t>& measured_bytes,
-                              RoundRecord& rec) {
-  price_uplinks(
-      part,
-      [&measured_bytes](int c) {
-        const auto it = measured_bytes.find(c);
-        return it != measured_bytes.end() ? it->second : size_t{0};
-      },
-      rec);
+void SimEngine::price_round_uplinks(RoundRecord& rec) {
+  if (wire_encoded() && uplink_.round >= 0) {
+    const std::map<int, size_t>& sent = uplink_.up_bytes;
+    price_uplinks(
+        uplink_.part,
+        [&sent](int c) {
+          const auto it = sent.find(c);
+          return it != sent.end() ? it->second : size_t{0};
+        },
+        rec);
+  }
+  uplink_ = RoundUplink{};
 }
 
-size_t SimEngine::encoded_sync_bytes(int client, int round) const {
-  return wire::encoded_sync_bytes(sync_->stale_mask(client, round));
+bool SimEngine::uplink(int round, int client, Upload& up) {
+  GLUEFL_CHECK_MSG(round == uplink_.round,
+                   "uplink() needs this round's simulate_participation");
+  const bool bad = scenario_byzantine(round, client);
+  bool ok = !bad;
+  if (wire_encoded()) {
+    if (up.shared && up.shared->idx != uplink_.support) {
+      uplink_.support = up.shared->idx;
+      uplink_.support_id = wire::support_id(*uplink_.support);
+    }
+    std::vector<uint8_t> frame = encode_upload(up, dim_, uplink_.support_id);
+    uplink_.up_bytes[client] = frame.size();
+    // The frame owns the payload now: release the client's copy before
+    // decoding, so encoded mode keeps analytic mode's footprint.
+    if (up.shared) up.shared->val = std::vector<float>();
+    if (up.update) up.update->val = std::vector<float>();
+    up.stats = std::vector<float>();
+    if (bad) scenario::corrupt_frame(frame);
+    ok = receive_upload(frame, dim_, up, &uplink_.support_id);
+  } else if (bad) {
+    // Analytic accounting has no frame to corrupt: model the server-side
+    // rejection of the Byzantine payload directly.
+    telemetry::count(telemetry::kScenarioFramesRejected);
+    up = Upload{};
+  }
+  if (!ok) events::mark_byzantine(client);
+  return ok;
 }
 
 std::function<size_t(int)> SimEngine::down_bytes_fn(int round,
-                                                    size_t extra_bytes) {
+                                                    const BitMask* mask) {
   if (!wire_encoded()) {
+    const size_t extra_bytes =
+        (mask != nullptr ? mask->wire_bytes() : 0) + stat_bytes();
     return [this, round, extra_bytes](int c) {
       return sync_->sync_bytes(c, round) + extra_bytes;
     };
   }
+  const size_t extra_bytes =
+      (mask != nullptr ? wire::encoded_mask_bytes(*mask) : 0) +
+      wire::encoded_stats_bytes(stat_dim_);
   // Measured mode: one real mask-codec run per distinct staleness — every
   // client that last synced at the same round downloads the same frame.
   auto cache = std::make_shared<std::map<int, size_t>>();
   return [this, round, extra_bytes, cache](int c) {
     const int ls = sync_->last_synced_round(c);
     const auto it = cache->find(ls);
-    const size_t sync_b = it != cache->end()
-                              ? it->second
-                              : (*cache)[ls] = encoded_sync_bytes(c, round);
+    const size_t sync_b =
+        it != cache->end()
+            ? it->second
+            : (*cache)[ls] =
+                  wire::encoded_sync_bytes(sync_->stale_mask(c, round));
     return sync_b + extra_bytes;
   };
 }
@@ -667,6 +706,7 @@ RunResult SimEngine::run_rounds(Strategy& strategy, int first_round,
     {
       telemetry::Span round_span("round");
       strategy.run_round(*this, t, rec);
+      price_round_uplinks(rec);
       if (t % run_cfg_.eval_every == 0 || t + 1 == run_cfg_.rounds) {
         rec.test_acc = evaluate().accuracy;
       }

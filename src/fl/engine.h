@@ -13,6 +13,8 @@
 //     aggregated, and invited-but-dropped clients still pay (and are
 //     charged) their download — reproducing the over-commitment behaviour
 //     of Table 3,
+//   * the uplink seam (src/fl/uplink.h): every included client's upload
+//     is encoded, priced, Byzantine-rejected and decoded in one call,
 //   * byte/time/accuracy metrics collection.
 #pragma once
 
@@ -24,12 +26,14 @@
 #include "agg/aggregator.h"
 #include "agg/topology.h"
 #include "common/rng.h"
+#include "compress/bitmask.h"
 #include "data/federated_dataset.h"
 #include "fl/metrics.h"
 #include "fl/run_hook.h"
 #include "fl/sim_config.h"
 #include "fl/strategy.h"
 #include "fl/sync_tracker.h"
+#include "fl/uplink.h"
 #include "net/client_directory.h"
 #include "net/client_profile.h"
 #include "net/environment.h"
@@ -53,7 +57,7 @@ struct Participation {
   std::vector<int> all() const;
   /// Download + compute seconds per included client, aligned with all()
   /// (sticky first). price_uplinks() adds the upload leg on top — under
-  /// --wire=encoded that happens only after the real payloads exist.
+  /// --wire=encoded only once the round's frames exist (see uplink()).
   std::vector<double> ready_s;
 };
 
@@ -145,17 +149,10 @@ class SimEngine {
 
   // ---- scenario fault injection (DESIGN.md §11) ----
   const scenario::ScenarioSpec& scenario() const { return run_cfg_.scenario; }
-  /// True when client `client` crashes between download and upload in
-  /// `round` (sync engine). Pure function of (seed, round, client).
-  bool scenario_dropout(int round, int client) const;
-  /// True when client `client` sends a Byzantine/corrupted update in
-  /// `round` (sync engine). The strategies corrupt the encoded frame (or
-  /// model the rejection under --wire=analytic) and the server-side decode
-  /// rejects it, counting telemetry::kScenarioFramesRejected.
-  bool scenario_byzantine(int round, int client) const;
-  /// Async variants keyed by the dispatch sequence number, so the fate of
-  /// an in-flight update can be recomputed after resume without widening
-  /// the serialized event format.
+  /// Async dropout / Byzantine fates keyed by the dispatch sequence number,
+  /// so the fate of an in-flight update can be recomputed after resume
+  /// without widening the serialized event format. (The sync fates are
+  /// private: simulate_participation() and uplink() apply them.)
   bool scenario_dropout_seq(uint64_t seq) const;
   bool scenario_byzantine_seq(uint64_t seq) const;
 
@@ -175,51 +172,53 @@ class SimEngine {
   /// `up_bytes_fn` give per-client payload sizes; fills the byte and time
   /// fields of `rec` and marks every invitee synced at `round`.
   ///
-  /// With `defer_uplink` the upload leg is NOT priced: `up_bytes_fn` then
-  /// only orders the straggler cutoff (the server's scheduling estimate),
-  /// and the caller must invoke price_uplinks() once the actual payload
-  /// sizes are known — how --wire=encoded prices measured encodes that
-  /// cannot exist before the included clients have trained.
+  /// Under analytic accounting the upload leg is priced here from
+  /// `up_bytes_fn`. Under --wire=encoded `up_bytes_fn` only orders the
+  /// straggler cutoff (the server's scheduling estimate): the measured
+  /// frames cannot exist before the included clients have trained, so the
+  /// round's uplink() calls record them and the engine prices the upload
+  /// leg once, when the strategy's run_round returns.
   Participation simulate_participation(
       int round, const CandidateSet& cand,
       const std::function<size_t(int)>& down_bytes_fn,
-      const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec,
-      bool defer_uplink = false);
+      const std::function<size_t(int)>& up_bytes_fn, RoundRecord& rec);
 
-  /// Prices the upload leg of an earlier deferred simulate_participation:
-  /// accumulates up_bytes / up_time_s / wall_time_s (and, under a
-  /// hierarchical topology, the per-edge partial-aggregate uplinks) from
-  /// `up_bytes_fn` over the included clients.
+  /// Prices an upload leg: accumulates up_bytes / up_time_s / wall_time_s
+  /// (and, under a hierarchical topology, the per-edge partial-aggregate
+  /// uplinks) from `up_bytes_fn` over the included clients of `part`.
   void price_uplinks(const Participation& part,
                      const std::function<size_t(int)>& up_bytes_fn,
                      RoundRecord& rec);
 
-  /// Convenience for the encoded strategies: prices the measured
-  /// per-client encode sizes collected during aggregation. A client
-  /// absent from the map uploaded nothing (e.g. APF with every
-  /// coordinate frozen) and prices zero bytes.
-  void price_uplinks(const Participation& part,
-                     const std::map<int, size_t>& measured_bytes,
-                     RoundRecord& rec);
+  /// The uplink seam: sends included client `client`'s upload for `round`
+  /// (the round of the last simulate_participation) to the server.
+  ///   --wire=encoded  encodes one frame (encode_upload), records its size
+  ///                   for the round's upload pricing, frees the client's
+  ///                   copy, corrupts the frame when the client is
+  ///                   Byzantine, and decodes it (receive_upload);
+  ///   analytic        passes the deltas through; a Byzantine client's
+  ///                   update is rejected directly.
+  /// On success `up` holds what the server received, with the weights the
+  /// caller set. On rejection it is emptied, the flight recorder marks the
+  /// client kByzantine, telemetry counts kScenarioFramesRejected, and the
+  /// call returns false — the upload is still priced, nothing of it may
+  /// reach the aggregate.
+  bool uplink(int round, int client, Upload& up);
 
   /// Byte-accounting mode (RunConfig::wire).
-  WireMode wire_mode() const { return run_cfg_.wire.mode; }
   bool wire_encoded() const {
     return run_cfg_.wire.mode == WireMode::kEncoded;
   }
 
-  /// Measured downlink sync bytes for `client` at `round`: the real mask
-  /// codec run over the SyncTracker's stale-position union, plus the fp32
-  /// values it selects. 0 when the client is current.
-  size_t encoded_sync_bytes(int client, int round) const;
-
-  /// Per-client downlink size function for `round`, honoring wire_mode():
-  /// analytic — SyncTracker::sync_bytes + extra_bytes; encoded — the
-  /// measured sync frame + extra_bytes, cached per last-synced round (every
-  /// client at the same staleness shares one server-side encode). The
-  /// caller supplies `extra_bytes` for whatever rides along (BN stats,
-  /// strategy masks), already sized for the active mode.
-  std::function<size_t(int)> down_bytes_fn(int round, size_t extra_bytes);
+  /// Per-client downlink size function for `round`: the sync diff plus the
+  /// riders every download carries — BN stats and, when given, a strategy
+  /// `mask` (GlueFL's M_t, APF's active set). Analytic accounting uses
+  /// SyncTracker::sync_bytes and the bitmap / dense-fp32 formulas;
+  /// --wire=encoded measures the sync, mask and stats frames, caching the
+  /// sync frame per last-synced round (every client at the same staleness
+  /// shares one server-side encode).
+  std::function<size_t(int)> down_bytes_fn(int round,
+                                           const BitMask* mask = nullptr);
 
   /// Trains `clients` locally (in parallel) from the current global model.
   /// Results are indexed like `clients`. Deterministic regardless of the
@@ -244,6 +243,14 @@ class SimEngine {
 
   RunResult run_rounds(Strategy& strategy, int first_round, RunResult result,
                        RoundHook* hook);
+  /// Sync scenario fates (DESIGN.md §11), pure functions of (seed, round,
+  /// client): a crash between download and upload, a corrupted upload.
+  bool scenario_dropout(int round, int client) const;
+  bool scenario_byzantine(int round, int client) const;
+  /// Prices the encoded upload leg the round's uplink() calls measured;
+  /// a client that sent nothing (APF with every coordinate frozen) prices
+  /// zero bytes. No-op under analytic accounting.
+  void price_round_uplinks(RoundRecord& rec);
   void train_one(Worker& w, int client, double lr, Rng rng, LocalResult& out);
   std::vector<LocalResult> train_batch(
       const std::vector<int>& clients, double lr,
@@ -269,6 +276,17 @@ class SimEngine {
   double wire_scale_ = 1.0;
   int num_threads_ = 1;
   std::vector<std::unique_ptr<Worker>> workers_;
+
+  /// The current sync round's uplink state.
+  struct RoundUplink {
+    int round = -1;
+    Participation part;              // encoded: priced at round end
+    std::map<int, size_t> up_bytes;  // encoded: measured frame sizes
+    // The cohort support of the round's shared sections, hashed once.
+    std::shared_ptr<const std::vector<uint32_t>> support;
+    uint32_t support_id = 0;
+  };
+  RoundUplink uplink_;
 };
 
 }  // namespace gluefl

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 
 #include "agg/sparse_delta.h"
@@ -10,11 +9,7 @@
 #include "common/check.h"
 #include "compress/bitmask.h"
 #include "compress/encoding.h"
-#include "scenario/scenario.h"
-#include "telemetry/events.h"
-#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
-#include "wire/codec.h"
 
 namespace gluefl {
 
@@ -85,26 +80,21 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
   }
   const size_t k_active = active.count();
 
-  const bool enc = engine.wire_encoded();
-  const size_t sb = engine.stat_bytes();
-  // Clients must learn the current frozen set: one mask frame per download
-  // (a bitmap under analytic accounting, the measured codec pick under
-  // --wire=encoded).
-  const size_t down_extra =
-      enc ? wire::encoded_mask_bytes(active) +
-                wire::encoded_stats_bytes(engine.stat_dim())
-          : active.wire_bytes() + sb;
-  auto down = engine.down_bytes_fn(round, down_extra);
+  // Clients must learn the current frozen set: the active mask rides
+  // every download.
+  auto down = engine.down_bytes_fn(round, &active);
   // Upload carries only active coordinates; positions are implied by the
   // mask both sides hold. Analytic size; cutoff estimate in encoded mode.
-  const size_t up_bytes = values_only_bytes(k_active) + sb;
+  const size_t up_bytes = values_only_bytes(k_active) + engine.stat_bytes();
   auto up = [up_bytes](int) { return up_bytes; };
-  const Participation part = engine.simulate_participation(
-      round, cand, down, up, rec, /*defer_uplink=*/enc);
+  const Participation part =
+      engine.simulate_participation(round, cand, down, up, rec);
   const std::vector<int> included = part.all();
 
+  // k_active == 0 leaves nothing to train or transmit: included clients
+  // send no upload (under --wire=encoded they price zero bytes; their
+  // wall-clock still covers download + compute).
   BitMask changed(dim);
-  std::map<int, size_t> measured;  // client -> encoded upload bytes
   if (!included.empty() && k_active > 0) {
     auto results = engine.local_train(included, round);
     std::vector<float> agg(dim, 0.0f);
@@ -115,51 +105,19 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     // Every client reports on the same active (non-frozen) set: share one
     // index array across the round's whole batch.
     const auto active_idx = SparseDelta::make_support(active.to_indices());
-    const uint32_t active_id =
-        enc ? wire::support_id(*active_idx) : 0;
     std::vector<SparseDelta> batch;
     batch.reserve(included.size());
     for (size_t i = 0; i < included.size(); ++i) {
       const double nu = n / khat * engine.client_weight(included[i]);
-      const bool bad = engine.scenario_byzantine(round, included[i]);
-      if (enc) {
-        // Values-only frame against the active mask both sides hold;
-        // aggregation consumes the decoded payload.
-        std::vector<float> vals;
-        vals.reserve(active_idx->size());
-        for (const uint32_t j : *active_idx) {
-          vals.push_back(results[i].delta[j]);
-        }
-        wire::WireEncoder we(dim);
-        we.add_shared(vals.data(), vals.size(), active_id);
-        we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
-        std::vector<uint8_t> buf = we.finish();
-        measured[included[i]] = buf.size();
-        if (bad) scenario::corrupt_frame(buf);
-        try {
-          wire::WireDecoder wd(buf.data(), buf.size(), dim);
-          batch.push_back(
-              wd.take_shared(active_idx, static_cast<float>(nu), &active_id));
-          const std::vector<float> dec_stats = wd.take_stats();
-          axpy(static_cast<float>(1.0 / khat), dec_stats.data(),
-               stat_agg.data(), engine.stat_dim());
-        } catch (const CheckError&) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(included[i]);
-          continue;  // rejected whole: upload priced, aggregate untouched
-        }
-      } else {
-        if (bad) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(included[i]);
-          continue;
-        }
-        // Only active coordinates are transmitted / aggregated.
-        batch.push_back(SparseDelta::gather_shared(
-            active_idx, results[i].delta.data(), static_cast<float>(nu)));
-        axpy(static_cast<float>(1.0 / khat), results[i].stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
-      }
+      // Only active coordinates are transmitted / aggregated.
+      Upload u;
+      u.shared = SparseDelta::gather_shared(
+          active_idx, results[i].delta.data(), static_cast<float>(nu));
+      u.stats = std::move(results[i].stat_delta);
+      if (!engine.uplink(round, included[i], u)) continue;
+      batch.push_back(std::move(*u.shared));
+      axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
+           engine.stat_dim());
       loss_sum += results[i].loss;
     }
     engine.aggregator().reduce(batch, agg.data(), dim);
@@ -172,12 +130,6 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     changed = active;
     rec.train_loss = loss_sum / khat;
-  }
-  if (enc) {
-    // k_active == 0 leaves nothing to train or transmit: no payload exists
-    // to measure, so included clients price a zero-byte upload (their
-    // wall-clock still covers download + compute).
-    engine.price_uplinks(part, measured, rec);
   }
   rec.changed_frac =
       static_cast<double>(changed.count()) / static_cast<double>(dim);

@@ -7,9 +7,8 @@
 #include "agg/sparse_delta.h"
 #include "common/check.h"
 #include "compress/bitmask.h"
-#include "telemetry/telemetry.h"
+#include "fl/uplink.h"
 #include "tensor/ops.h"
-#include "wire/codec.h"
 
 namespace gluefl {
 
@@ -32,33 +31,27 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
                                      std::vector<AsyncUpdate>& buffer,
                                      RoundRecord& rec) {
   BitMask changed(engine.dim());
-  // Server-side frame validation (DESIGN.md §11): WireDecoder's constructor
-  // validates the whole frame, so a corrupted/Byzantine update is rejected
-  // BEFORE it can enter the staleness normalization or the aggregate. Under
-  // analytic accounting a Byzantine dispatch carries a 1-byte sentinel frame
-  // that fails the same validation path.
-  std::vector<char> ok(buffer.size(), 1);
-  for (size_t i = 0; i < buffer.size(); ++i) {
-    if (buffer[i].wire.empty()) continue;
-    try {
-      wire::WireDecoder probe(buffer[i].wire.data(), buffer[i].wire.size(),
-                              engine.dim());
-    } catch (const CheckError&) {
-      ok[i] = 0;
-      // No events::mark_byzantine here: the async engine derives the fate
-      // from the dispatch seq at fold time (the same predicate that made
-      // this frame corrupt), so the flight-recorder record already says
-      // kByzantine before this rejection runs.
-      telemetry::count(telemetry::kScenarioFramesRejected);
-    }
-  }
+  // Every update goes through the server-side receive step (DESIGN.md §11)
+  // BEFORE the staleness normalization: under --wire=encoded the update
+  // arrived as a frame (the engine emptied result.delta at dispatch) and is
+  // decoded once; under analytic accounting a Byzantine dispatch carries a
+  // 1-byte sentinel frame that fails the same validation. No
+  // events::mark_byzantine here: the async engine derives the fate from
+  // the dispatch seq at fold time (the same predicate that made the frame
+  // corrupt), so the flight-recorder record already says kByzantine.
+  // A rejected update comes back empty (no `update`).
+  std::vector<Upload> got(buffer.size());
   double wsum = 0.0;
   size_t valid = 0;
   for (size_t i = 0; i < buffer.size(); ++i) {
-    if (ok[i] != 0) {
-      wsum += staleness_weight(buffer[i].staleness);
-      ++valid;
+    AsyncUpdate& u = buffer[i];
+    got[i].update = SparseDelta::dense(std::move(u.result.delta));
+    got[i].stats = std::move(u.result.stat_delta);
+    if (!u.wire.empty() && !receive_upload(u.wire, engine.dim(), got[i])) {
+      continue;
     }
+    wsum += staleness_weight(u.staleness);
+    ++valid;
   }
 
   if (valid > 0 && wsum > 0.0) {
@@ -68,24 +61,14 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
     std::vector<SparseDelta> batch;
     batch.reserve(valid);
     for (size_t i = 0; i < buffer.size(); ++i) {
-      if (ok[i] == 0) continue;
-      AsyncUpdate& u = buffer[i];
+      if (!got[i].update) continue;
+      const AsyncUpdate& u = buffer[i];
       const double nu =
           cfg_.server_lr * staleness_weight(u.staleness) / wsum;
-      if (!u.wire.empty()) {
-        // --wire=encoded: the update arrived as a serialized frame (the
-        // engine emptied result.delta at dispatch); aggregate the decode.
-        wire::WireDecoder wd(u.wire.data(), u.wire.size(), engine.dim());
-        batch.push_back(wd.take_dense(static_cast<float>(nu)));
-        const std::vector<float> dec_stats = wd.take_stats();
-        axpy(static_cast<float>(nu), dec_stats.data(), stat_agg.data(),
-             engine.stat_dim());
-      } else {
-        batch.push_back(SparseDelta::dense(std::move(u.result.delta),
-                                           static_cast<float>(nu)));
-        axpy(static_cast<float>(nu), u.result.stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
-      }
+      got[i].update->weight = static_cast<float>(nu);
+      batch.push_back(std::move(*got[i].update));
+      axpy(static_cast<float>(nu), got[i].stats.data(), stat_agg.data(),
+           engine.stat_dim());
       loss_sum += u.result.loss;
     }
     engine.aggregator().reduce(batch, agg.data(), engine.dim());

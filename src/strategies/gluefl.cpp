@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <utility>
 
@@ -11,11 +10,8 @@
 #include "common/check.h"
 #include "compress/encoding.h"
 #include "compress/topk.h"
-#include "scenario/scenario.h"
-#include "telemetry/events.h"
-#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
-#include "wire/codec.h"
+#include "wire/codec.h"  // checkpointed shared mask only
 
 namespace gluefl {
 
@@ -89,23 +85,16 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
                        engine.run_config().overcommit, rng,
                        engine.availability_fn(round));
 
-  const bool enc = engine.wire_encoded();
-  const size_t sb = engine.stat_bytes();
-  // Downlink rider: the shared mask M_t plus BN stats — measured mask/stats
-  // frames under --wire=encoded, the analytic bitmap + dense-fp32 formulas
-  // otherwise.
-  const size_t down_extra =
-      enc ? wire::encoded_mask_bytes(mask_) +
-                wire::encoded_stats_bytes(engine.stat_dim())
-          : mask_.wire_bytes() + sb;
-  auto down = engine.down_bytes_fn(round, down_extra);
+  // Downlink rider: the shared mask M_t (plus BN stats).
+  auto down = engine.down_bytes_fn(round, &mask_);
   // The analytic upload size doubles as the straggler-cutoff estimate in
-  // encoded mode; the measured encodes are priced via price_uplinks below.
+  // encoded mode, where the engine prices the measured frames.
   const size_t up_bytes = values_only_bytes(k_shr) +
-                          sparse_update_bytes(k_uni, dim) + sb;
+                          sparse_update_bytes(k_uni, dim) +
+                          engine.stat_bytes();
   auto up = [up_bytes](int) { return up_bytes; };
-  const Participation part = engine.simulate_participation(
-      round, cand, down, up, rec, /*defer_uplink=*/enc);
+  const Participation part =
+      engine.simulate_participation(round, cand, down, up, rec);
 
   const int c_act = static_cast<int>(part.sticky.size());
   const int r_act = static_cast<int>(part.nonsticky.size());
@@ -136,11 +125,7 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
     // index array — each per-client shared payload is values-only, exactly
     // like the wire encoding (values_only_bytes above).
     std::shared_ptr<const std::vector<uint32_t>> shared_idx;
-    uint32_t shared_id = 0;
-    if (k_shr > 0) {
-      shared_idx = SparseDelta::make_support(mask_.to_indices());
-      if (enc) shared_id = wire::support_id(*shared_idx);
-    }
+    if (k_shr > 0) shared_idx = SparseDelta::make_support(mask_.to_indices());
 
     std::vector<float> agg_shr(dim, 0.0f);
     std::vector<float> agg_uni(dim, 0.0f);
@@ -148,7 +133,6 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
     std::vector<SparseDelta> shr_batch, uni_batch;
     if (k_shr > 0) shr_batch.reserve(included.size());
     uni_batch.reserve(included.size());
-    std::map<int, size_t> measured;  // client -> encoded upload bytes
     double loss_sum = 0.0;
     for (size_t i = 0; i < included.size(); ++i) {
       const int client = included[i];
@@ -177,56 +161,22 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
 
       // Client-side state (error feedback, residuals) above runs for every
       // included client; a Byzantine one still trained and still holds its
-      // residual — only the frame it transmits is corrupt.
-      const bool bad = engine.scenario_byzantine(round, client);
-      if (enc) {
-        // Serialize exactly what this client transmits, price the buffer,
-        // and aggregate the DECODED payload (identity for fp32 values).
-        wire::WireEncoder we(dim);
-        if (k_shr > 0) {
-          we.add_shared(shr_vals.data(), shr_vals.size(), shared_id);
-        }
-        we.add_unique(uni);
-        we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
-        std::vector<uint8_t> buf = we.finish();
-        measured[client] = buf.size();
-        if (bad) scenario::corrupt_frame(buf);
-        try {
-          wire::WireDecoder wd(buf.data(), buf.size(), dim);
-          // WireDecoder validates the whole frame up front, so a corrupt
-          // frame throws before any take_* can push a partial batch entry.
-          if (k_shr > 0) {
-            shr_batch.push_back(
-                wd.take_shared(shared_idx, static_cast<float>(nu),
-                               &shared_id));
-          }
-          uni_batch.push_back(wd.take_unique(static_cast<float>(nu)));
-          const std::vector<float> dec_stats = wd.take_stats();
-          axpy(static_cast<float>(1.0 / k_act), dec_stats.data(),
-               stat_agg.data(), engine.stat_dim());
-        } catch (const CheckError&) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(client);
-          continue;  // rejected whole: upload priced, aggregate untouched
-        }
-      } else {
-        if (bad) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(client);
-          continue;
-        }
-        if (k_shr > 0) {
-          shr_batch.push_back(SparseDelta::on_shared(
-              shared_idx, std::move(shr_vals), static_cast<float>(nu)));
-        }
-        uni_batch.push_back(
-            SparseDelta::from_sparse(std::move(uni), static_cast<float>(nu)));
-        axpy(static_cast<float>(1.0 / k_act), results[i].stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
+      // residual — only the upload it transmits is corrupt.
+      Upload u;
+      if (k_shr > 0) {
+        u.shared = SparseDelta::on_shared(shared_idx, std::move(shr_vals),
+                                          static_cast<float>(nu));
       }
+      u.update =
+          SparseDelta::from_sparse(std::move(uni), static_cast<float>(nu));
+      u.stats = std::move(results[i].stat_delta);
+      if (!engine.uplink(round, client, u)) continue;
+      if (u.shared) shr_batch.push_back(std::move(*u.shared));
+      uni_batch.push_back(std::move(*u.update));
+      axpy(static_cast<float>(1.0 / k_act), u.stats.data(), stat_agg.data(),
+           engine.stat_dim());
       loss_sum += results[i].loss;
     }
-    if (enc) engine.price_uplinks(part, measured, rec);
     if (k_shr > 0) {
       engine.aggregator().reduce(shr_batch, agg_shr.data(), dim);
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "agg/sparse_delta.h"
@@ -10,11 +9,7 @@
 #include "common/check.h"
 #include "compress/encoding.h"
 #include "compress/topk.h"
-#include "scenario/scenario.h"
-#include "telemetry/events.h"
-#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
-#include "wire/codec.h"
 
 namespace gluefl {
 
@@ -51,16 +46,13 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
                        engine.availability_fn(round));
 
   const size_t dim = engine.dim();
-  const bool enc = engine.wire_encoded();
-  const size_t sb = engine.stat_bytes();
-  auto down = engine.down_bytes_fn(
-      round, enc ? wire::encoded_stats_bytes(engine.stat_dim()) : sb);
+  auto down = engine.down_bytes_fn(round);
   // Analytic size; doubles as the cutoff estimate when uploads are priced
   // off measured encodes.
-  const size_t up_bytes = sparse_update_bytes(k_, dim) + sb;
+  const size_t up_bytes = sparse_update_bytes(k_, dim) + engine.stat_bytes();
   auto up = [up_bytes](int) { return up_bytes; };
-  const Participation part = engine.simulate_participation(
-      round, cand, down, up, rec, /*defer_uplink=*/enc);
+  const Participation part =
+      engine.simulate_participation(round, cand, down, up, rec);
   const std::vector<int> included = part.all();
 
   BitMask changed(dim);
@@ -73,7 +65,6 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     double loss_sum = 0.0;
     std::vector<SparseDelta> batch;
     batch.reserve(included.size());
-    std::map<int, size_t> measured;  // client -> encoded upload bytes
     for (size_t i = 0; i < included.size(); ++i) {
       const int client = included[i];
       std::vector<float>& delta = results[i].delta;
@@ -85,42 +76,18 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
       for (size_t j = 0; j < kept.idx.size(); ++j) delta[kept.idx[j]] = 0.0f;
       ec_->store(client, 1.0, delta.data());
 
-      // Client-side state (EC memory) updates above run for every included
-      // client; a Byzantine one still trained — only its wire frame lies.
-      const bool bad = engine.scenario_byzantine(round, client);
-      if (enc) {
-        // Ship the real top-k frame; aggregate the decoded payload.
-        wire::WireEncoder we(dim);
-        we.add_unique(kept);
-        we.add_stats(results[i].stat_delta.data(), engine.stat_dim());
-        std::vector<uint8_t> buf = we.finish();
-        measured[client] = buf.size();
-        if (bad) scenario::corrupt_frame(buf);
-        try {
-          wire::WireDecoder wd(buf.data(), buf.size(), dim);
-          batch.push_back(wd.take_unique(static_cast<float>(nu)));
-          const std::vector<float> dec_stats = wd.take_stats();
-          axpy(static_cast<float>(1.0 / khat), dec_stats.data(),
-               stat_agg.data(), engine.stat_dim());
-        } catch (const CheckError&) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(client);
-          continue;  // rejected whole: upload priced, aggregate untouched
-        }
-      } else {
-        if (bad) {
-          telemetry::count(telemetry::kScenarioFramesRejected);
-          events::mark_byzantine(client);
-          continue;
-        }
-        batch.push_back(
-            SparseDelta::from_sparse(std::move(kept), static_cast<float>(nu)));
-        axpy(static_cast<float>(1.0 / khat), results[i].stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
-      }
+      // The EC memory above updates for every included client; a Byzantine
+      // one still trained — only its upload lies.
+      Upload u;
+      u.update = SparseDelta::from_sparse(std::move(kept),
+                                          static_cast<float>(nu));
+      u.stats = std::move(results[i].stat_delta);
+      if (!engine.uplink(round, client, u)) continue;
+      batch.push_back(std::move(*u.update));
+      axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
+           engine.stat_dim());
       loss_sum += results[i].loss;
     }
-    if (enc) engine.price_uplinks(part, measured, rec);
     engine.aggregator().reduce(batch, agg.data(), dim);
     // Server-side sparsification (Algorithm 1 line 17): top-q of the
     // aggregate becomes the actual model update.

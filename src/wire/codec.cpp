@@ -496,16 +496,17 @@ void WireEncoder::add_shared(const float* v, size_t n, uint32_t mask_id) {
   value_block(v, n);
 }
 
-void WireEncoder::add_unique(const SparseVec& sv) {
-  GLUEFL_CHECK(sv.idx.size() == sv.val.size());
-  GLUEFL_CHECK_MSG(sv.idx.empty() || sv.idx.back() < dim_,
+void WireEncoder::add_unique(const std::vector<uint32_t>& idx,
+                             const std::vector<float>& val) {
+  GLUEFL_CHECK(idx.size() == val.size());
+  GLUEFL_CHECK_MSG(idx.empty() || idx.back() < dim_,
                    "wire: unique index out of range");
   GLUEFL_CHECK_MSG((seen_tags_ & (1u << kTagUnique)) == 0,
                    "wire: duplicate unique section");
   seen_tags_ |= 1u << kTagUnique;
   ++nsections_;
   buf_.push_back(kTagUnique);
-  const size_t n = sv.idx.size();
+  const size_t n = idx.size();
   put_varint(buf_, n);
 
   // Pick the smallest of the three position encodings — the analytic
@@ -514,8 +515,8 @@ void WireEncoder::add_unique(const SparseVec& sv) {
   size_t dv = 0;
   uint32_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
-    dv += varint_bytes(i == 0 ? sv.idx[0] : sv.idx[i] - prev);
-    prev = sv.idx[i];
+    dv += varint_bytes(i == 0 ? idx[0] : idx[i] - prev);
+    prev = idx[i];
   }
   const size_t raw = n * 4;
   const size_t bmp = bitmap_bytes(dim_);
@@ -523,17 +524,17 @@ void WireEncoder::add_unique(const SparseVec& sv) {
     buf_.push_back(kIdxDeltaVarint);
     prev = 0;
     for (size_t i = 0; i < n; ++i) {
-      put_varint(buf_, i == 0 ? sv.idx[0] : sv.idx[i] - prev);
-      prev = sv.idx[i];
+      put_varint(buf_, i == 0 ? idx[0] : idx[i] - prev);
+      prev = idx[i];
     }
   } else if (raw <= bmp) {
     buf_.push_back(kIdxRaw32);
-    for (const uint32_t v : sv.idx) put_u32(buf_, v);
+    for (const uint32_t v : idx) put_u32(buf_, v);
   } else {
     buf_.push_back(kIdxBitmap);
-    put_bitmap(buf_, BitMask::from_indices(dim_, sv.idx));
+    put_bitmap(buf_, BitMask::from_indices(dim_, idx));
   }
-  value_block(sv.val.data(), n);
+  value_block(val.data(), n);
 }
 
 void WireEncoder::add_stats(const float* v, size_t n) {

@@ -118,7 +118,9 @@ class WireEncoder {
   /// Sections encode eagerly in call order; each may be added once.
   void add_dense(const float* v, size_t n);  // n must equal dim
   void add_shared(const float* v, size_t n, uint32_t mask_id);
-  void add_unique(const SparseVec& sv);
+  void add_unique(const std::vector<uint32_t>& idx,
+                  const std::vector<float>& val);
+  void add_unique(const SparseVec& sv) { add_unique(sv.idx, sv.val); }
   void add_stats(const float* v, size_t n);  // stats are never quantized
 
   /// Finalizes the header and returns the frame. The encoder is spent.

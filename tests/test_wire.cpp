@@ -347,8 +347,11 @@ SimEngine make_wire_engine(WireMode mode, int rounds = 6, int k = 6,
 }
 
 TEST(WireEngine, DeferredUplinkPricingMatchesImmediate) {
+  // Analytic accounting prices the upload leg inside
+  // simulate_participation; --wire=encoded defers it until the frames
+  // exist. Given the same explicit sizes, both must price identically.
   auto immediate = make_wire_engine(WireMode::kAnalytic);
-  auto deferred = make_wire_engine(WireMode::kAnalytic);
+  auto deferred = make_wire_engine(WireMode::kEncoded);
   CandidateSet cand;
   cand.nonsticky = {0, 1, 2, 3};
   cand.need_nonsticky = 4;
@@ -356,8 +359,8 @@ TEST(WireEngine, DeferredUplinkPricingMatchesImmediate) {
   auto up = [](int c) -> size_t { return 500 + 100 * static_cast<size_t>(c); };
   RoundRecord ri, rd;
   immediate.simulate_participation(0, cand, down, up, ri);
-  const Participation part = deferred.simulate_participation(
-      0, cand, down, up, rd, /*defer_uplink=*/true);
+  const Participation part =
+      deferred.simulate_participation(0, cand, down, up, rd);
   // Before pricing, the deferred record has no uplink contributions.
   EXPECT_DOUBLE_EQ(rd.up_bytes, 0.0);
   EXPECT_DOUBLE_EQ(rd.up_time_s, 0.0);
