@@ -102,6 +102,7 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     const double n = engine.num_clients();
     const double khat = static_cast<double>(included.size());
     double loss_sum = 0.0;
+    int accepted = 0;
     // Every client reports on the same active (non-frozen) set: share one
     // index array across the round's whole batch.
     const auto active_idx = SparseDelta::make_support(active.to_indices());
@@ -119,6 +120,7 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
       axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
            engine.stat_dim());
       loss_sum += results[i].loss;
+      ++accepted;
     }
     engine.aggregator().reduce(batch, agg.data(), dim);
     float* params = engine.params().data();
@@ -129,7 +131,8 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     });
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     changed = active;
-    rec.train_loss = loss_sum / khat;
+    // Mean over accepted uploads; NaN (the default) when all were rejected.
+    if (accepted > 0) rec.train_loss = loss_sum / accepted;
   }
   rec.changed_frac =
       static_cast<double>(changed.count()) / static_cast<double>(dim);

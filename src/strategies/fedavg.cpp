@@ -37,6 +37,7 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
     const double n = engine.num_clients();
     const double khat = static_cast<double>(included.size());
     double loss_sum = 0.0;
+    int accepted = 0;
     std::vector<SparseDelta> batch;
     batch.reserve(included.size());
     for (size_t i = 0; i < included.size(); ++i) {
@@ -51,11 +52,13 @@ void FedAvgStrategy::run_round(SimEngine& engine, int round,
       axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
            engine.stat_dim());
       loss_sum += results[i].loss;
+      ++accepted;
     }
     engine.aggregator().reduce(batch, agg.data(), engine.dim());
     axpy(1.0f, agg.data(), engine.params().data(), engine.dim());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
-    rec.train_loss = loss_sum / khat;
+    // Mean over accepted uploads; NaN (the default) when all were rejected.
+    if (accepted > 0) rec.train_loss = loss_sum / accepted;
     changed.set_all();  // dense update: every position may have moved
   }
   rec.changed_frac =

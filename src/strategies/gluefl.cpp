@@ -134,6 +134,7 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
     if (k_shr > 0) shr_batch.reserve(included.size());
     uni_batch.reserve(included.size());
     double loss_sum = 0.0;
+    int accepted = 0;
     for (size_t i = 0; i < included.size(); ++i) {
       const int client = included[i];
       const double nu = weight_of(i);
@@ -176,6 +177,7 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
       axpy(static_cast<float>(1.0 / k_act), u.stats.data(), stat_agg.data(),
            engine.stat_dim());
       loss_sum += results[i].loss;
+      ++accepted;
     }
     if (k_shr > 0) {
       engine.aggregator().reduce(shr_batch, agg_shr.data(), dim);
@@ -190,7 +192,8 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
 
     axpy(1.0f, total.data(), engine.params().data(), dim);
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
-    rec.train_loss = loss_sum / k_act;
+    // Mean over accepted uploads; NaN (the default) when all were rejected.
+    if (accepted > 0) rec.train_loss = loss_sum / accepted;
 
     // Changed positions this round: M_t (when it was applied) plus the
     // server-kept unique set. Regeneration rounds run with q_shr = 0, so

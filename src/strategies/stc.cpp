@@ -63,6 +63,7 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     const double n = engine.num_clients();
     const double khat = static_cast<double>(included.size());
     double loss_sum = 0.0;
+    int accepted = 0;
     std::vector<SparseDelta> batch;
     batch.reserve(included.size());
     for (size_t i = 0; i < included.size(); ++i) {
@@ -87,6 +88,7 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
       axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
            engine.stat_dim());
       loss_sum += results[i].loss;
+      ++accepted;
     }
     engine.aggregator().reduce(batch, agg.data(), dim);
     // Server-side sparsification (Algorithm 1 line 17): top-q of the
@@ -95,7 +97,8 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     scatter_add(final_update, 1.0f, engine.params().data());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     for (uint32_t idx : final_update.idx) changed.set(idx);
-    rec.train_loss = loss_sum / khat;
+    // Mean over accepted uploads; NaN (the default) when all were rejected.
+    if (accepted > 0) rec.train_loss = loss_sum / accepted;
   }
   rec.changed_frac =
       static_cast<double>(changed.count()) / static_cast<double>(dim);

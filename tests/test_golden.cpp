@@ -202,33 +202,33 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{"fedavg", kAna, "", 0,
                    0x5772dbcau, 0x9ba8f136u},
         GoldenCase{"fedavg", kEnc, "hostile", 0,
-                   0xb22d06ddu, 0x0afda852u},
+                   0xb22d06ddu, 0xa1c85961u},
         GoldenCase{"fedavg", kAna, "hostile", 0,
-                   0xb22d06ddu, 0x33cd2c29u},
+                   0xb22d06ddu, 0x98f8dd1au},
         GoldenCase{"stc", kEnc, "", 0,
                    0x843f6dffu, 0x92667fdfu},
         GoldenCase{"stc", kAna, "", 0,
                    0x843f6dffu, 0x02db92c2u},
         GoldenCase{"stc", kEnc, "hostile", 0,
-                   0xa22ffb49u, 0xd11c813du},
+                   0xa22ffb49u, 0x6d14fc30u},
         GoldenCase{"stc", kAna, "hostile", 0,
-                   0xa22ffb49u, 0x614114dbu},
+                   0xa22ffb49u, 0xdd4969d6u},
         GoldenCase{"apf", kEnc, "", 0,
                    0xd32fe7b8u, 0x00d406c9u},
         GoldenCase{"apf", kAna, "", 0,
                    0xd32fe7b8u, 0x67e1c70du},
         GoldenCase{"apf", kEnc, "hostile", 0,
-                   0xfd5d8b81u, 0x4c30994fu},
+                   0xfd5d8b81u, 0xe705687cu},
         GoldenCase{"apf", kAna, "hostile", 0,
-                   0xfd5d8b81u, 0xf8afb3cdu},
+                   0xfd5d8b81u, 0x539a42feu},
         GoldenCase{"gluefl", kEnc, "", 0,
                    0xa9c54bc3u, 0x4b4b1282u},
         GoldenCase{"gluefl", kAna, "", 0,
                    0xa9c54bc3u, 0xf665008cu},
         GoldenCase{"gluefl", kEnc, "hostile", 0,
-                   0x273ae3a6u, 0xf9805b09u},
+                   0x273ae3a6u, 0x188f835eu},
         GoldenCase{"gluefl", kAna, "hostile", 0,
-                   0x273ae3a6u, 0x10977853u},
+                   0x273ae3a6u, 0xf198a004u},
         GoldenCase{"gluefl", kEnc, "", 2,
                    0xa9c54bc3u, 0xdba06328u},
         GoldenCase{"async-fedbuff", kEnc, "hostile", 0,

@@ -437,18 +437,33 @@ TEST(ScenarioRegression, ByzantineFramesRejectedAcrossAllStrategies) {
 }
 
 TEST(ScenarioRegression, ByzantineUpdatesDoNotMoveTheAggregate) {
-  // byzantine_rate=1: every frame is rejected, so the model never moves
-  // (fedavg has no server-side state besides the params).
+  // byzantine_rate ~1: every upload is rejected, so no update reaches the
+  // aggregate and no round has a training loss to report (the mean is
+  // over accepted uploads). Both wire modes reject through the one
+  // uplink seam. Strategies with server-side state (GlueFL's shared mask,
+  // APF's freeze schedule) still cannot move the model without updates.
   scenario::ScenarioSpec spec;
   spec.name = "all-byzantine";
   spec.byzantine_rate = 0.999999;
-  TelemetryGuard tg;
-  SimEngine eng = make_scenario_engine(PopulationMode::kDense, 1, spec);
-  const std::vector<float> before = eng.params();
-  auto strat = make_named_strategy("fedavg");
-  eng.run(*strat);
-  EXPECT_EQ(before, eng.params());
-  EXPECT_GT(telemetry::value(telemetry::kScenarioFramesRejected), 0u);
+  for (const WireMode wire : {WireMode::kEncoded, WireMode::kAnalytic}) {
+    for (const std::string name : {"fedavg", "stc", "apf", "gluefl"}) {
+      const std::string label =
+          name + (wire == WireMode::kEncoded ? " encoded" : " analytic");
+      TelemetryGuard tg;
+      SimEngine eng =
+          make_scenario_engine(PopulationMode::kDense, 1, spec, wire);
+      const std::vector<float> before = eng.params();
+      auto strat = make_named_strategy(name);
+      const RunResult r = eng.run(*strat);
+      EXPECT_EQ(before, eng.params()) << label;
+      EXPECT_GT(telemetry::value(telemetry::kScenarioFramesRejected), 0u)
+          << label;
+      for (const RoundRecord& rec : r.rounds) {
+        EXPECT_TRUE(std::isnan(rec.train_loss))
+            << label << " round " << rec.round << " " << rec.train_loss;
+      }
+    }
+  }
 }
 
 }  // namespace
