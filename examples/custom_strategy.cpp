@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "analysis/report.h"
 #include "compress/encoding.h"
@@ -48,9 +50,11 @@ class TopKOnlyStrategy final : public Strategy {
                          engine.run_config().overcommit, rng,
                          engine.availability_fn(round));
     const size_t dim = engine.dim();
-    const size_t sb = engine.stat_bytes();
-    auto down = [&](int c) { return engine.sync().sync_bytes(c, round) + sb; };
-    const size_t up_b = sparse_update_bytes(k_, dim) + sb;
+    // Download: the engine sizes the sync diff + BN stats for the active
+    // wire mode. Upload: the analytic top-k size is the straggler-cutoff
+    // estimate (and the priced size under analytic accounting).
+    auto down = engine.down_bytes_fn(round);
+    const size_t up_b = sparse_update_bytes(k_, dim) + engine.stat_bytes();
     auto up = [up_b](int) { return up_b; };
     const Participation part =
         engine.simulate_participation(round, cand, down, up, rec);
@@ -63,19 +67,27 @@ class TopKOnlyStrategy final : public Strategy {
       std::vector<float> stat_agg(engine.stat_dim(), 0.0f);
       const double n = engine.num_clients();
       const double khat = static_cast<double>(included.size());
+      std::vector<SparseDelta> batch;
       for (size_t i = 0; i < included.size(); ++i) {
         auto& delta = results[i].delta;
         ec_->apply(included[i], 1.0, delta.data());
-        const SparseVec kept = top_k_abs(delta.data(), dim, k_);
-        scatter_add(kept,
-                    static_cast<float>(n / khat *
-                                       engine.client_weight(included[i])),
-                    agg.data());
+        SparseVec kept = top_k_abs(delta.data(), dim, k_);
         for (uint32_t idx : kept.idx) delta[idx] = 0.0f;
         ec_->store(included[i], 1.0, delta.data());
-        axpy(static_cast<float>(1.0 / khat), results[i].stat_delta.data(),
-             stat_agg.data(), engine.stat_dim());
+        // The one uplink call: the engine encodes (or passes through),
+        // prices, and rejects Byzantine uploads; only accepted ones
+        // reach the aggregate.
+        Upload u;
+        u.update = SparseDelta::from_sparse(
+            std::move(kept),
+            static_cast<float>(n / khat * engine.client_weight(included[i])));
+        u.stats = std::move(results[i].stat_delta);
+        if (!engine.uplink(round, included[i], u)) continue;
+        batch.push_back(std::move(*u.update));
+        axpy(static_cast<float>(1.0 / khat), u.stats.data(), stat_agg.data(),
+             engine.stat_dim());
       }
+      engine.aggregator().reduce(batch, agg.data(), dim);
       // KEY DIFFERENCE vs STC: the server applies the aggregate densely —
       // no second top-k. The union of K clients' top-k sets touches most
       // of the model, so the changed set is large every round.

@@ -3,6 +3,9 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <string>
+
+#include "wire/codec.h"
 
 namespace gluefl::ckpt {
 
@@ -79,6 +82,8 @@ void Writer::blob(const std::vector<uint8_t>& b) {
   varint(b.size());
   bytes(b.data(), b.size());
 }
+
+void Writer::mask(const BitMask& m) { blob(wire::encode_mask(m)); }
 
 void Writer::f32s(const float* v, size_t n) {
   varint(n);
@@ -186,6 +191,16 @@ std::vector<uint8_t> Reader::blob() {
   const size_t n = static_cast<size_t>(varint_max(left_, "blob length"));
   const uint8_t* q = bytes(n);
   return std::vector<uint8_t>(q, q + n);
+}
+
+BitMask Reader::mask(size_t dim, const char* what) {
+  const std::vector<uint8_t> buf = blob();
+  BitMask m = wire::decode_mask(buf.data(), buf.size());
+  if (m.size() != dim) {
+    throw CkptError(std::string("checkpoint ") + what +
+                    " has the wrong dim");
+  }
+  return m;
 }
 
 std::vector<float> Reader::f32s() {

@@ -6,7 +6,8 @@
 // read is bounds-checked and malformed input fails as CkptError, never as
 // out-of-bounds access or a silently-trusted huge allocation.
 //
-// Layering: this header depends only on common/check.h. Stateful
+// Layering: this header depends only on common/check.h and the BitMask
+// type (masks are stored in the wire mask codec, src/wire/codec.h). Stateful
 // components (SyncTracker, ErrorFeedback, StickySampler, AsyncRunState,
 // the strategies) implement save_state(Writer&)/restore_state(Reader&)
 // against these primitives; ckpt/checkpoint.h assembles the sections into
@@ -18,6 +19,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "compress/bitmask.h"
 
 namespace gluefl::ckpt {
 
@@ -53,6 +56,8 @@ class Writer {
   void blob(const std::vector<uint8_t>& b);
   /// varint count + raw f32 bit patterns.
   void f32s(const float* v, size_t n);
+  /// A blob holding the wire mask frame (bitmap or run-length) of `m`.
+  void mask(const BitMask& m);
 
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& buffer() const { return buf_; }
@@ -80,6 +85,9 @@ class Reader {
   std::string str();
   std::vector<uint8_t> blob();
   std::vector<float> f32s();
+  /// Reads a Writer::mask blob; CkptError unless it holds `dim` bits
+  /// ("checkpoint <what> has the wrong dim").
+  BitMask mask(size_t dim, const char* what);
 
   size_t remaining() const { return left_; }
   /// Fails unless the section was consumed exactly.

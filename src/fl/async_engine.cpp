@@ -8,12 +8,12 @@
 #include "ckpt/io.h"
 #include "common/check.h"
 #include "compress/encoding.h"
+#include "fl/uplink.h"
 #include "net/bandwidth.h"
 #include "sampling/sampler.h"
 #include "scenario/scenario.h"
 #include "telemetry/events.h"
 #include "telemetry/telemetry.h"
-#include "wire/codec.h"
 
 namespace gluefl {
 

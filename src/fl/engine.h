@@ -190,18 +190,11 @@ class SimEngine {
                      const std::function<size_t(int)>& up_bytes_fn,
                      RoundRecord& rec);
 
-  /// The uplink seam: sends included client `client`'s upload for `round`
-  /// (the round of the last simulate_participation) to the server.
-  ///   --wire=encoded  encodes one frame (encode_upload), records its size
-  ///                   for the round's upload pricing, frees the client's
-  ///                   copy, corrupts the frame when the client is
-  ///                   Byzantine, and decodes it (receive_upload);
-  ///   analytic        passes the deltas through; a Byzantine client's
-  ///                   update is rejected directly.
-  /// On success `up` holds what the server received, with the weights the
-  /// caller set. On rejection it is emptied, the flight recorder marks the
-  /// client kByzantine, telemetry counts kScenarioFramesRejected, and the
-  /// call returns false — the upload is still priced, nothing of it may
+  /// The uplink seam (src/fl/uplink.h): sends included client `client`'s
+  /// upload for `round`, the round of the last simulate_participation. On
+  /// success `up` holds what the server received, at the caller's weights.
+  /// A Byzantine upload is rejected — `up` emptied, the client recorded
+  /// kByzantine, false returned: it is still priced, but nothing of it may
   /// reach the aggregate.
   bool uplink(int round, int client, Upload& up);
 

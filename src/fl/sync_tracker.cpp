@@ -4,7 +4,6 @@
 
 #include "ckpt/io.h"
 #include "common/check.h"
-#include "wire/codec.h"
 
 namespace gluefl {
 
@@ -115,9 +114,7 @@ void SyncTracker::save_state(ckpt::Writer& w) const {
   w.varint(static_cast<uint64_t>(first_round_));
   w.varint(static_cast<uint64_t>(next_round_));
   w.varint(changes_.size());
-  for (const BitMask& m : changes_) {
-    w.blob(wire::encode_mask(m));
-  }
+  for (const BitMask& m : changes_) w.mask(m);
 }
 
 void SyncTracker::restore_state(ckpt::Reader& r) {
@@ -153,12 +150,7 @@ void SyncTracker::restore_state(ckpt::Reader& r) {
   }
   changes_.clear();
   for (uint64_t i = 0; i < nmasks; ++i) {
-    const std::vector<uint8_t> buf = r.blob();
-    BitMask m = wire::decode_mask(buf.data(), buf.size());
-    if (m.size() != dim_) {
-      throw ckpt::CkptError("checkpoint changed-mask has the wrong dim");
-    }
-    changes_.push_back(std::move(m));
+    changes_.push_back(r.mask(dim_, "changed-mask"));
   }
 }
 

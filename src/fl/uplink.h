@@ -1,15 +1,12 @@
-// The uplink seam (DESIGN.md §7): one client upload, and the one encode
-// and one receive step every engine path sends it through.
+// The uplink seam (DESIGN.md §7): a client upload and the encode and
+// receive steps every engine path sends it through.
 //
-// A strategy builds an Upload in the shapes aggregation consumes and hands
-// it to SimEngine::uplink(), which owns everything between the client and
-// the aggregator: under --wire=encoded it serializes the frame, records its
-// measured size for the round's upload pricing, corrupts it when the client
-// is Byzantine, and decodes it server-side; under analytic accounting it
-// passes the deltas through and rejects Byzantine clients directly. The
-// async engine serializes dispatches with encode_upload() and
-// async-fedbuff decodes them with receive_upload(), so both engines share
-// the frame layout and the rejection rule.
+// Sync strategies hand an Upload to SimEngine::uplink(), which under
+// --wire=encoded encodes it, measures the frame for the round's pricing,
+// corrupts it for a Byzantine client and decodes it; under analytic
+// accounting it passes the deltas through and rejects Byzantine clients
+// directly. The async engine encodes dispatches with encode_upload() and
+// async-fedbuff decodes them with receive_upload().
 #pragma once
 
 #include <cstddef>

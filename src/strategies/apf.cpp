@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "agg/sparse_delta.h"
 #include "ckpt/io.h"

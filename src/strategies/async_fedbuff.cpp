@@ -35,11 +35,11 @@ void AsyncFedBuffStrategy::aggregate(SimEngine& engine, int version,
   // BEFORE the staleness normalization: under --wire=encoded the update
   // arrived as a frame (the engine emptied result.delta at dispatch) and is
   // decoded once; under analytic accounting a Byzantine dispatch carries a
-  // 1-byte sentinel frame that fails the same validation. No
-  // events::mark_byzantine here: the async engine derives the fate from
+  // 1-byte sentinel frame that fails the same validation. The flight
+  // recorder needs no marking here: the async engine derives the fate from
   // the dispatch seq at fold time (the same predicate that made the frame
-  // corrupt), so the flight-recorder record already says kByzantine.
-  // A rejected update comes back empty (no `update`).
+  // corrupt), so the record already says kByzantine. A rejected update
+  // comes back empty (no `update`).
   std::vector<Upload> got(buffer.size());
   double wsum = 0.0;
   size_t valid = 0;

@@ -11,7 +11,6 @@
 #include "compress/encoding.h"
 #include "compress/topk.h"
 #include "tensor/ops.h"
-#include "wire/codec.h"  // checkpointed shared mask only
 
 namespace gluefl {
 
@@ -45,7 +44,7 @@ void GlueFlStrategy::save_state(ckpt::Writer& w) const {
                                         "strategy");
   sampler_->save_state(w);
   ec_->save_state(w);
-  w.blob(wire::encode_mask(mask_));
+  w.mask(mask_);
   w.varint(static_cast<uint64_t>(regen_count_));
 }
 
@@ -54,12 +53,7 @@ void GlueFlStrategy::restore_state(ckpt::Reader& r) {
                                         "strategy");
   sampler_->restore_state(r);
   ec_->restore_state(r);
-  const std::vector<uint8_t> mbuf = r.blob();
-  BitMask m = wire::decode_mask(mbuf.data(), mbuf.size());
-  if (m.size() != mask_.size()) {
-    throw ckpt::CkptError("checkpoint shared mask has the wrong dim");
-  }
-  mask_ = std::move(m);
+  mask_ = r.mask(mask_.size(), "shared mask");
   regen_count_ =
       static_cast<int>(r.varint_max(ckpt::kIntCap, "regen count"));
 }

@@ -105,15 +105,15 @@ inline void client(const ClientEvent& e) {
 }
 
 /// Upgrades the pending record for `client` to Fate::kByzantine — called
-/// by the sync strategies at their frame-rejection sites, where the
-/// server-side decode actually fails.
+/// by the sync uplink seam (SimEngine::uplink) where it rejects the
+/// upload. The async engine sets the fate itself at fold time instead.
 inline void mark_byzantine(int64_t client) {
   if (detail::g_sink != nullptr) detail::mark_byzantine_slow(client);
 }
 
 /// Patches the pending record for `client` with the priced upload leg —
-/// under --wire=encoded the real frame size only exists after the
-/// strategy encodes, so price_uplinks back-fills it.
+/// under --wire=encoded the real frame size only exists after the uplink
+/// seam encodes, so the end-of-round price_uplinks back-fills it.
 inline void set_uplink(int64_t client, uint64_t up_bytes, double up_s) {
   if (detail::g_sink != nullptr) detail::set_uplink_slow(client, up_bytes, up_s);
 }
