@@ -2,8 +2,8 @@
 //
 // All matrices are row-major, shapes given as (rows, cols). The GEMM
 // variants cover the three access patterns needed by forward / backward
-// passes of fully-connected layers; the inner loops are written in the
-// i-k-j order so that the compiler auto-vectorizes the unit-stride axis.
+// passes of fully-connected layers; each output element sums its products
+// in ascending reduction order, so results do not depend on loop blocking.
 #pragma once
 
 #include <cstddef>

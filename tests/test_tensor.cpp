@@ -83,6 +83,51 @@ TEST(Tensor, GemmTnMatchesReference) {
   for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
 }
 
+// Training digests depend on the exact float sums, so gemm_nn and gemm_tn
+// must add each output's products in ascending reduction order however they
+// block it: reductions of 13 (gemm_nn) and 9 (gemm_tn) rows cover a full
+// block plus a tail, and n = 70 leaves a tail of the vectorized axis.
+TEST(Tensor, GemmNnTnSumInReductionOrderBitExactly) {
+  Rng rng(5);
+  const int m = 9, k = 13, n = 70;
+  const auto a = random_vec(static_cast<size_t>(m) * k, rng);
+  const auto b = random_vec(static_cast<size_t>(k) * n, rng);
+  const auto c0 = random_vec(static_cast<size_t>(m) * n, rng);
+  for (const bool acc : {false, true}) {
+    std::vector<float> c = c0;
+    gemm_nn(a.data(), b.data(), c.data(), m, k, n, acc);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const size_t o = static_cast<size_t>(i) * n + j;
+        float s = acc ? c0[o] : 0.0f;
+        for (int p = 0; p < k; ++p) {
+          s += a[static_cast<size_t>(i) * k + p] *
+               b[static_cast<size_t>(p) * n + j];
+        }
+        ASSERT_EQ(c[o], s) << "nn i=" << i << " j=" << j << " acc=" << acc;
+      }
+    }
+  }
+  // gemm_tn: C[k,n] = A[m,k]^T * B[m,n], summed over the m rows in order.
+  const auto bt = random_vec(static_cast<size_t>(m) * n, rng);
+  const auto ct0 = random_vec(static_cast<size_t>(k) * n, rng);
+  for (const bool acc : {false, true}) {
+    std::vector<float> c = ct0;
+    gemm_tn(a.data(), bt.data(), c.data(), m, k, n, acc);
+    for (int p = 0; p < k; ++p) {
+      for (int j = 0; j < n; ++j) {
+        const size_t o = static_cast<size_t>(p) * n + j;
+        float s = acc ? ct0[o] : 0.0f;
+        for (int i = 0; i < m; ++i) {
+          s += a[static_cast<size_t>(i) * k + p] *
+               bt[static_cast<size_t>(i) * n + j];
+        }
+        ASSERT_EQ(c[o], s) << "tn p=" << p << " j=" << j << " acc=" << acc;
+      }
+    }
+  }
+}
+
 TEST(Tensor, Axpy) {
   std::vector<float> x{1.0f, 2.0f, 3.0f};
   std::vector<float> y{10.0f, 20.0f, 30.0f};
