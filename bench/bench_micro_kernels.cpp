@@ -3,13 +3,14 @@
 // the SyncTracker union that dominates staleness accounting.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "compress/bitmask.h"
 #include "compress/topk.h"
 #include "fl/sync_tracker.h"
-#include "tensor/ops.h"
+#include "tensor/gemm_kernels.h"
 
 namespace gluefl {
 namespace {
@@ -69,20 +70,35 @@ void BM_ScatterAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatterAdd)->Arg(33000)->Arg(1 << 20);
 
-void BM_GemmForward(benchmark::State& state) {
-  // The shape of one ShuffleNet-proxy hidden layer on a batch of 16.
-  const int bs = 16, in = 128, out = 128;
-  const auto a = random_vec(static_cast<size_t>(bs) * in, 4);
-  const auto b = random_vec(static_cast<size_t>(in) * out, 5);
-  std::vector<float> c(static_cast<size_t>(bs) * out);
-  for (auto _ : state) {
-    gemm_nn(a.data(), b.data(), c.data(), bs, in, out);
-    benchmark::DoNotOptimize(c.data());
+// The three GEMMs of one ShuffleNet-proxy hidden layer (128 -> 128) on a
+// batch of 16, per kernel. Arg 0 picks the GEMM (0 nn forward, 1 nt input
+// gradient, 2 tn weight gradient), arg 1 the kernel (0 portable, 1 avx2).
+void BM_Gemm(benchmark::State& state) {
+  const auto kind = static_cast<gemm::KernelKind>(state.range(1));
+  if (!gemm::kernel_supported(kind)) {
+    state.SkipWithError("kernel not supported by this build/CPU");
+    return;
   }
+  const gemm::Kernel& kern = gemm::kernel(kind);
+  const int bs = 16, in = 128, out = 128;
+  const auto x = random_vec(static_cast<size_t>(bs) * in, 4);
+  const auto w = random_vec(static_cast<size_t>(in) * out, 5);
+  const auto g = random_vec(static_cast<size_t>(bs) * out, 6);
+  std::vector<float> c(static_cast<size_t>(in) * out);
+  const int which = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    if (which == 0) kern.nn(x.data(), w.data(), c.data(), bs, in, out, false);
+    if (which == 1) kern.nt(g.data(), w.data(), c.data(), bs, out, in, false);
+    if (which == 2) kern.tn(x.data(), g.data(), c.data(), bs, in, out, true);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  const char* names[] = {"nn", "nt", "tn"};
+  state.SetLabel(std::string(names[which]) + "/" + kern.name);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 * bs *
                           in * out);
 }
-BENCHMARK(BM_GemmForward);
+BENCHMARK(BM_Gemm)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_SyncTrackerUnion(benchmark::State& state) {
   // A client stale by `range` rounds under q = 20% masking of a 33k-dim

@@ -208,7 +208,10 @@ std::vector<float> Reader::f32s() {
       static_cast<size_t>(varint_max(left_ / 4, "float-array length"));
   std::vector<float> out(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out.data(), bytes(n * 4), n * 4);
+    const uint8_t* raw = bytes(n * 4);
+    // An empty vector's data() may be null, and memcpy from or to null is
+    // undefined even for zero bytes.
+    if (n > 0) std::memcpy(out.data(), raw, n * 4);
   } else {
     for (size_t i = 0; i < n; ++i) out[i] = f32();
   }

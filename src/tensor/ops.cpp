@@ -1,70 +1,85 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <cstring>
+#include <cstddef>
+
+#include "common/check.h"
+#include "tensor/gemm_kernels.h"
 
 namespace gluefl {
 
+namespace gemm {
+
 namespace {
 
-// c[0..n) += sum over r < rows of x[r * xs] * y[r * n + j] in ascending r
-// order, bit-identical to the plain loop, storing c once per kRowBlock rows;
-// a store per product swung speed ~40% with heap layout on Sapphire Rapids.
-constexpr int kRowBlock = 8;
+// The portable kernel: the tiled source at the build's baseline vector
+// width (SSE2 on x86-64).
+constexpr int kVec = 4;
+#include "tensor/gemm_tiles.inc"
 
-void accumulate_row(const float* x, size_t xs, const float* y, int rows,
-                    size_t n, float* c) {
-  int r = 0;
-  for (; r + kRowBlock <= rows; r += kRowBlock) {
-    float xv[kRowBlock];
-    for (int q = 0; q < kRowBlock; ++q) xv[q] = x[(r + q) * xs];
-    const float* yr = y + r * n;
-    for (size_t j = 0; j < n; ++j) {
-      float s = c[j];
-      for (int q = 0; q < kRowBlock; ++q) s += xv[q] * yr[q * n + j];
-      c[j] = s;
-    }
+constexpr Kernel kPortableKernel{"portable", &tiled_nn, &tiled_nt,
+                                 &tiled_tn};
+
+const Kernel* kernel_ptr(KernelKind kind) {
+  if (kind == KernelKind::kPortable) return &kPortableKernel;
+#if defined(GLUEFL_NN_SIMD)
+  if (kind == KernelKind::kAvx2 && __builtin_cpu_supports("avx2")) {
+    return &detail::kAvx2Kernel;
   }
-  for (; r < rows; ++r) {
-    const float xv = x[r * xs];
-    for (size_t j = 0; j < n; ++j) c[j] += xv * y[r * n + j];
-  }
+#endif
+  return nullptr;
 }
+
+// Resolved lazily; a benign race re-runs the deterministic resolution.
+std::atomic<const Kernel*> g_active{nullptr};
 
 }  // namespace
 
+bool kernel_supported(KernelKind kind) { return kernel_ptr(kind) != nullptr; }
+
+const Kernel& kernel(KernelKind kind) {
+  const Kernel* k = kernel_ptr(kind);
+  GLUEFL_CHECK_MSG(k != nullptr,
+                   "gemm: kernel not supported by this build/CPU");
+  return *k;
+}
+
+const Kernel& active_kernel() {
+  const Kernel* k = g_active.load(std::memory_order_acquire);
+  if (k == nullptr) {
+    k = kernel_supported(KernelKind::kAvx2) ? kernel_ptr(KernelKind::kAvx2)
+                                            : &kPortableKernel;
+    g_active.store(k, std::memory_order_release);
+  }
+  return *k;
+}
+
+KernelKind active_kernel_kind() {
+  return &active_kernel() == &kPortableKernel ? KernelKind::kPortable
+                                              : KernelKind::kAvx2;
+}
+
+void force_kernel(KernelKind kind) {
+  g_active.store(&kernel(kind), std::memory_order_release);
+}
+
+}  // namespace gemm
+
 void gemm_nn(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(m) * n);
-  for (int i = 0; i < m; ++i) {
-    accumulate_row(a + static_cast<size_t>(i) * k, 1, b, k, n,
-                   c + static_cast<size_t>(i) * n);
-  }
+  gemm::active_kernel().nn(a, b, c, m, k, n, accumulate);
 }
 
 void gemm_nt(const float* a, const float* b, float* c, int m, int n, int k,
              bool accumulate) {
-  for (int i = 0; i < m; ++i) {
-    const float* ai = a + static_cast<size_t>(i) * n;
-    float* ci = c + static_cast<size_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const float* bp = b + static_cast<size_t>(p) * n;
-      float acc = accumulate ? ci[p] : 0.0f;
-      // dot over the contiguous axis
-      float s = 0.0f;
-      for (int j = 0; j < n; ++j) s += ai[j] * bp[j];
-      ci[p] = acc + s;
-    }
-  }
+  gemm::active_kernel().nt(a, b, c, m, n, k, accumulate);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, int m, int k, int n,
              bool accumulate) {
-  if (!accumulate) std::memset(c, 0, sizeof(float) * static_cast<size_t>(k) * n);
-  for (int p = 0; p < k; ++p) {
-    accumulate_row(a + p, k, b, m, n, c + static_cast<size_t>(p) * n);
-  }
+  gemm::active_kernel().tn(a, b, c, m, k, n, accumulate);
 }
 
 void axpy(float alpha, const float* x, float* y, size_t n) {

@@ -2,8 +2,17 @@
 //
 // All matrices are row-major, shapes given as (rows, cols). The GEMM
 // variants cover the three access patterns needed by forward / backward
-// passes of fully-connected layers; each output element sums its products
-// in ascending reduction order, so results do not depend on loop blocking.
+// passes of fully-connected layers. Each output element sums its products
+// in a fixed order, so results do not depend on blocking or on the kernel:
+//
+//   gemm_nn, gemm_tn  c = (accumulate ? c : +0), then c += product for
+//                     ascending reduction index
+//   gemm_nt           s = +0, s += a[i,j] * b[p,j] for ascending j, then
+//                     c = (accumulate ? c : +0) + s
+//
+// The GEMMs run a register-tiled kernel chosen once per process (portable,
+// or AVX2 without FMA where the CPU has it; tensor/gemm_kernels.h and
+// DESIGN.md §7b). Kernels differ in speed only, never in output bits.
 #pragma once
 
 #include <cstddef>

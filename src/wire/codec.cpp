@@ -166,7 +166,7 @@ void read_value_block(Cursor& c, size_t n, std::vector<float>& out) {
   out.resize(n);
   if (bits == 32) {
     const uint8_t* raw = c.bytes(n * 4);
-    std::memcpy(out.data(), raw, n * 4);
+    if (n > 0) std::memcpy(out.data(), raw, n * 4);
     return;
   }
   const CodecKernel& kernel = active_kernel();
@@ -453,7 +453,8 @@ void WireEncoder::value_block(const float* v, size_t n) {
   if (value_bits_ == 32) {
     const size_t start = buf_.size();
     buf_.resize(start + n * 4);
-    std::memcpy(buf_.data() + start, v, n * 4);
+    // An empty block may come with v == nullptr (an empty vector's data()).
+    if (n > 0) std::memcpy(buf_.data() + start, v, n * 4);
     return;
   }
   // The kernel packs straight into the frame buffer (resized up front per
@@ -546,7 +547,7 @@ void WireEncoder::add_stats(const float* v, size_t n) {
   put_varint(buf_, n);
   const size_t start = buf_.size();
   buf_.resize(start + n * 4);
-  std::memcpy(buf_.data() + start, v, n * 4);
+  if (n > 0) std::memcpy(buf_.data() + start, v, n * 4);
 }
 
 std::vector<uint8_t> WireEncoder::finish() {
@@ -638,8 +639,8 @@ WireDecoder::WireDecoder(const uint8_t* data, size_t size,
         const uint64_t n = c.varint();
         GLUEFL_CHECK_MSG(n <= c.left / 4, "wire: truncated stats section");
         stats_.resize(static_cast<size_t>(n));
-        std::memcpy(stats_.data(), c.bytes(static_cast<size_t>(n) * 4),
-                    static_cast<size_t>(n) * 4);
+        const uint8_t* raw = c.bytes(static_cast<size_t>(n) * 4);
+        if (n > 0) std::memcpy(stats_.data(), raw, static_cast<size_t>(n) * 4);
         has_stats_ = true;
         break;
       }

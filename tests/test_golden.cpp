@@ -36,6 +36,7 @@
 #include "strategies/gluefl.h"
 #include "strategies/stc.h"
 #include "telemetry/telemetry.h"
+#include "tensor/gemm_kernels.h"
 #include "test_util.h"
 
 namespace gluefl {
@@ -150,8 +151,7 @@ class Golden : public ::testing::TestWithParam<GoldenCase> {
   void TearDown() override { telemetry::reset(); }
 };
 
-TEST_P(Golden, DigestsMatchPins) {
-  const GoldenCase& c = GetParam();
+void expect_pins(const GoldenCase& c) {
   RunConfig rc = testing::tiny_run_config(/*rounds=*/6, /*k=*/6,
                                           /*seed=*/11);
   rc.eval_every = 3;
@@ -189,6 +189,17 @@ TEST_P(Golden, DigestsMatchPins) {
                 records, static_cast<unsigned long long>(rejected));
   EXPECT_EQ(model, c.model_crc) << actual;
   EXPECT_EQ(records, c.records_crc) << actual;
+}
+
+TEST_P(Golden, DigestsMatchPins) { expect_pins(GetParam()); }
+
+// The same pins with the portable GEMM kernel forced, so they hold for
+// every kernel and not only for the one this CPU dispatches to.
+TEST_P(Golden, PortableGemmKernelMatchesPins) {
+  const gemm::KernelKind dispatched = gemm::active_kernel_kind();
+  gemm::force_kernel(gemm::KernelKind::kPortable);
+  expect_pins(GetParam());
+  gemm::force_kernel(dispatched);
 }
 
 constexpr WireMode kEnc = WireMode::kEncoded;
