@@ -34,16 +34,29 @@ void BM_TopKAbs(benchmark::State& state) {
 }
 BENCHMARK(BM_TopKAbs)->Arg(33000)->Arg(62000)->Arg(1 << 20);
 
+// Args: n, percent of positions allowed, k. The first arm is GlueFL's
+// client-side shape on the OpenImage proxy: top-(q - q_shr) over the
+// complement of a 16% shared mask (dim 33,600, k = 1,344).
 void BM_TopKAbsMasked(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const double allowed_frac = static_cast<double>(state.range(1)) / 100.0;
+  const size_t k = static_cast<size_t>(state.range(2));
   const auto x = random_vec(n, 2);
+  Rng rng(4);
   BitMask allowed(n);
-  for (size_t i = 0; i < n; i += 2) allowed.set(i);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(top_k_abs_masked(x.data(), n, n / 10, allowed));
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.bernoulli(allowed_frac)) allowed.set(i);
   }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(top_k_abs_masked(x.data(), n, k, allowed));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TopKAbsMasked)->Arg(33000)->Arg(1 << 20);
+BENCHMARK(BM_TopKAbsMasked)
+    ->Args({33600, 84, 1344})
+    ->Args({33000, 50, 3300})
+    ->Args({1 << 20, 50, (1 << 20) / 10});
 
 void BM_BitMaskUnion(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

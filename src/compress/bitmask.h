@@ -59,6 +59,10 @@ class BitMask {
     }
   }
 
+  /// Word w of the bitmap: bit b is index w * 64 + b. Bits past size()
+  /// are always clear.
+  uint64_t word(size_t w) const { return words_[w]; }
+
   /// Wire size of the bitmap encoding in bytes.
   size_t wire_bytes() const { return (n_ + 7) / 8; }
 

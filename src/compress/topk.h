@@ -1,5 +1,12 @@
 // Top-k-by-magnitude selection — the sparsification primitive shared by
 // STC (client and server side) and GlueFL's unique-gradient component.
+//
+// Selection contract (DESIGN.md §4): entries rank by the key
+// bits(x) & 0x7fffffff, which orders like |x| for every non-NaN value and
+// gives +0 and -0 the same key. Equal keys go to the lower index. A NaN
+// ranks by its bit pattern, above +-inf, so a diverged client's delta
+// still selects deterministically. The result is fully determined by the
+// input; indices come back in ascending order.
 #pragma once
 
 #include <cstddef>
@@ -18,9 +25,8 @@ struct SparseVec {
   size_t nnz() const { return idx.size(); }
 };
 
-/// Selects the k entries of x[0..n) with the largest |value|.
-/// Ties are broken toward the lower index, making the result fully
-/// deterministic. Indices are returned in ascending order.
+/// Selects the min(k, n) entries of x[0..n) with the largest key (see
+/// above), ties toward the lower index.
 SparseVec top_k_abs(const float* x, size_t n, size_t k);
 
 /// Same, but only positions where `allowed.test(i)` may be selected
@@ -28,13 +34,7 @@ SparseVec top_k_abs(const float* x, size_t n, size_t k);
 SparseVec top_k_abs_masked(const float* x, size_t n, size_t k,
                            const BitMask& allowed);
 
-/// Gathers x at the set positions of `mask` into a SparseVec.
-SparseVec gather(const float* x, const BitMask& mask);
-
 /// out[idx[i]] += scale * val[i].
 void scatter_add(const SparseVec& s, float scale, float* out);
-
-/// Zeroes every coordinate of x not selected in s (i.e. x <- mask(x)).
-void keep_only(const SparseVec& s, float* x, size_t n);
 
 }  // namespace gluefl

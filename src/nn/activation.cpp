@@ -22,8 +22,12 @@ void ReLU::backward(const float* /*flat_params*/, const float* gout,
                     float* gin, float* /*flat_grads*/, int bs) {
   GLUEFL_CHECK_MSG(bs == cached_bs_, "backward batch differs from forward");
   const size_t n = static_cast<size_t>(bs) * dim_;
+  const float* out = cached_out_.data();
+  // gout[i] is read unconditionally so the select compiles to a compare and
+  // mask instead of a branch on ReLU's ~50/50 sign pattern.
   for (size_t i = 0; i < n; ++i) {
-    gin[i] = cached_out_[i] > 0.0f ? gout[i] : 0.0f;
+    const float g = gout[i];
+    gin[i] = out[i] > 0.0f ? g : 0.0f;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "compress/bitmask.h"
 #include "compress/encoding.h"
+#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
 
 namespace gluefl {
@@ -113,8 +114,11 @@ void ApfStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
       const double nu = n / khat * engine.client_weight(included[i]);
       // Only active coordinates are transmitted / aggregated.
       Upload u;
-      u.shared = SparseDelta::gather_shared(
-          active_idx, results[i].delta.data(), static_cast<float>(nu));
+      {
+        telemetry::Span span("compress");
+        u.shared = SparseDelta::gather_shared(
+            active_idx, results[i].delta.data(), static_cast<float>(nu));
+      }
       u.stats = std::move(results[i].stat_delta);
       if (!engine.uplink(round, included[i], u)) continue;
       batch.push_back(std::move(*u.shared));

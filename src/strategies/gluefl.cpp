@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "compress/encoding.h"
 #include "compress/topk.h"
+#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
 
 namespace gluefl {
@@ -133,26 +134,29 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
       const int client = included[i];
       const double nu = weight_of(i);
       std::vector<float>& delta = results[i].delta;
-      // Eq. (7): re-scaled error compensation before masking.
-      ec_->apply(client, nu, delta.data());
-
-      // Shared component: Delta restricted to M_t (positions implicit).
       std::vector<float> shr_vals;
-      if (k_shr > 0) {
-        shr_vals.reserve(shared_idx->size());
-        for (const uint32_t j : *shared_idx) shr_vals.push_back(delta[j]);
-      }
-      // Unique component: top_{q - q_shr} of the complement.
-      SparseVec uni =
-          regen ? top_k_abs(delta.data(), dim, k_uni)
-                : top_k_abs_masked(delta.data(), dim, k_uni, complement);
+      SparseVec uni;
+      {
+        telemetry::Span span("compress");
+        // Eq. (7): re-scaled error compensation before masking.
+        ec_->apply(client, nu, delta.data());
 
-      // Residual h_i = Delta_i - (shared + unique parts actually sent).
-      if (k_shr > 0) {
-        mask_.for_each_set([&delta](size_t j) { delta[j] = 0.0f; });
+        // Shared component: Delta restricted to M_t (positions implicit).
+        if (k_shr > 0) {
+          shr_vals.reserve(shared_idx->size());
+          for (const uint32_t j : *shared_idx) shr_vals.push_back(delta[j]);
+        }
+        // Unique component: top_{q - q_shr} of the complement.
+        uni = regen ? top_k_abs(delta.data(), dim, k_uni)
+                    : top_k_abs_masked(delta.data(), dim, k_uni, complement);
+
+        // Residual h_i = Delta_i - (shared + unique parts actually sent).
+        if (k_shr > 0) {
+          mask_.for_each_set([&delta](size_t j) { delta[j] = 0.0f; });
+        }
+        for (uint32_t idx : uni.idx) delta[idx] = 0.0f;
+        ec_->store(client, nu, delta.data());
       }
-      for (uint32_t idx : uni.idx) delta[idx] = 0.0f;
-      ec_->store(client, nu, delta.data());
 
       // Client-side state (error feedback, residuals) above runs for every
       // included client; a Byzantine one still trained and still holds its
@@ -180,7 +184,11 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
 
     // Server: Eq. (6) keeps the top_{q - q_shr} of the aggregated unique
     // gradients; the shared aggregate is applied as-is (Eq. 5).
-    const SparseVec uni_final = top_k_abs(agg_uni.data(), dim, k_uni);
+    SparseVec uni_final;
+    {
+      telemetry::Span span("compress");
+      uni_final = top_k_abs(agg_uni.data(), dim, k_uni);
+    }
     std::vector<float> total = std::move(agg_shr);  // support within M_t
     scatter_add(uni_final, 1.0f, total.data());
 
@@ -197,6 +205,7 @@ void GlueFlStrategy::run_round(SimEngine& engine, int round,
 
     // Mask shift (line 26): M_{t+1} = top_{q_shr}(|Delta_shr + Delta_uni|).
     if (k_shr_target_ > 0) {
+      telemetry::Span span("compress");
       const SparseVec next = top_k_abs(total.data(), dim, k_shr_target_);
       BitMask new_mask = BitMask::from_indices(dim, next.idx);
       const size_t inter = BitMask::intersection_count(new_mask, mask_);

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "compress/encoding.h"
 #include "compress/topk.h"
+#include "telemetry/telemetry.h"
 #include "tensor/ops.h"
 
 namespace gluefl {
@@ -69,13 +70,17 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     for (size_t i = 0; i < included.size(); ++i) {
       const int client = included[i];
       std::vector<float>& delta = results[i].delta;
-      // STC memory: re-inject what previous compressions dropped.
-      ec_->apply(client, 1.0, delta.data());
-      SparseVec kept = top_k_abs(delta.data(), dim, k_);
+      SparseVec kept;
+      {
+        telemetry::Span span("compress");
+        // STC memory: re-inject what previous compressions dropped.
+        ec_->apply(client, 1.0, delta.data());
+        kept = top_k_abs(delta.data(), dim, k_);
+        // Residual: the update minus what was sent.
+        for (const uint32_t idx : kept.idx) delta[idx] = 0.0f;
+        ec_->store(client, 1.0, delta.data());
+      }
       const double nu = n / khat * engine.client_weight(client);
-      // Residual: the update minus what was sent.
-      for (size_t j = 0; j < kept.idx.size(); ++j) delta[kept.idx[j]] = 0.0f;
-      ec_->store(client, 1.0, delta.data());
 
       // The EC memory above updates for every included client; a Byzantine
       // one still trained — only its upload lies.
@@ -93,7 +98,11 @@ void StcStrategy::run_round(SimEngine& engine, int round, RoundRecord& rec) {
     engine.aggregator().reduce(batch, agg.data(), dim);
     // Server-side sparsification (Algorithm 1 line 17): top-q of the
     // aggregate becomes the actual model update.
-    const SparseVec final_update = top_k_abs(agg.data(), dim, k_);
+    SparseVec final_update;
+    {
+      telemetry::Span span("compress");
+      final_update = top_k_abs(agg.data(), dim, k_);
+    }
     scatter_add(final_update, 1.0f, engine.params().data());
     axpy(1.0f, stat_agg.data(), engine.stats().data(), engine.stat_dim());
     for (uint32_t idx : final_update.idx) changed.set(idx);

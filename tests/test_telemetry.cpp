@@ -283,8 +283,9 @@ TEST(TelemetryTrace, ChromeTraceIsWellFormedAndCoversRoundPhases) {
   EXPECT_TRUE(wall_meta);
   EXPECT_TRUE(sim_meta);
   // Wall track: every instrumented phase of a sync round shows up.
-  for (const char* name : {"round", "sample", "local_train", "transfer_price",
-                           "wire.encode", "wire.decode", "aggregate", "eval"}) {
+  for (const char* name :
+       {"round", "sample", "local_train", "compress", "transfer_price",
+        "wire.encode", "wire.decode", "aggregate", "eval"}) {
     EXPECT_TRUE(wall_spans.count(name) == 1) << "missing wall span " << name;
   }
   // Sim track: the per-round phase decomposition.
